@@ -37,7 +37,8 @@ type relayEntry struct {
 	mac  string
 	name string
 	url  string
-	rack int // the relay node's rack, -1 when unknown
+	rack int    // the relay node's rack, -1 when unknown
+	arch string // the relay node's architecture, "" when unknown
 	srv  *dist.Server
 	ln   net.Listener
 }
@@ -134,7 +135,7 @@ func (r *relayRegistry) promote(mac, name string) {
 	}
 	delete(r.pending, mac)
 	r.mu.Unlock()
-	if len(store.All()) == 0 {
+	if store.Len() == 0 {
 		return
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -146,10 +147,10 @@ func (r *relayRegistry) promote(mac, name string) {
 		mac:  mac,
 		name: name,
 		url:  "http://" + ln.Addr().String(),
-		rack: r.rackOf(mac),
 		srv:  dist.NewRepoServer(store),
 		ln:   ln,
 	}
+	entry.rack, entry.arch = r.placeOf(mac)
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -175,7 +176,7 @@ func (r *relayRegistry) promote(mac, name string) {
 	r.c.events.Publish(lifecycle.Event{
 		Node: name, MAC: mac, Phase: lifecycle.PhaseRun,
 		Type: lifecycle.EventRelayUp, Source: "relay",
-		Detail: fmt.Sprintf("serving %d packages at %s", len(store.All()), entry.url),
+		Detail: fmt.Sprintf("serving %d packages at %s", store.Len(), entry.url),
 	})
 }
 
@@ -216,33 +217,40 @@ func (r *relayRegistry) retire(e *relayEntry) {
 	r.withdrawn.Add(1)
 }
 
-// rackOf resolves a relay node's rack from the cluster database; -1 when
-// the node is unknown (topology stays the registry's concern — installers
-// never learn rack numbers, they just receive a better-ordered list).
-func (r *relayRegistry) rackOf(mac string) int {
+// placeOf resolves a node's rack and architecture from the cluster
+// database; -1 and "" when the node is unknown (topology stays the
+// registry's concern — installers never learn rack numbers, they just
+// receive a better-ordered list).
+func (r *relayRegistry) placeOf(mac string) (rack int, arch string) {
 	n, ok, err := clusterdb.NodeByMAC(r.c.DB, mac)
 	if err != nil || !ok {
-		return -1
+		return -1, ""
 	}
-	return n.Rack
+	return n.Rack, n.Arch
 }
 
 // sources returns the prioritized peer list one installer should try,
 // rotated per call so concurrent installers fan out across the relay
-// population instead of stampeding the first entry. rack, when >= 0, is
-// the asker's rack: same-rack relays are stably moved to the front of the
-// rotated list, keeping mass-reinstall traffic inside rack switches; a
-// rack with no live relay falls back to cross-rack peers, counted on
+// population instead of stampeding the first entry. arch, when set, is the
+// asker's architecture: only relays of that architecture are offered,
+// because a node's package set follows its kickstart architecture, so a
+// same-architecture peer holds every package the asker needs and any other
+// peer would answer 404 for some of them. rack, when >= 0, is the asker's
+// rack: same-rack relays are stably moved to the front of the rotated
+// list, keeping mass-reinstall traffic inside rack switches; a rack with
+// no live relay falls back to cross-rack peers, counted on
 // rocks_dist_relay_cross_rack_total.
-func (r *relayRegistry) sources(rack int) []installer.Source {
+func (r *relayRegistry) sources(rack int, arch string) []installer.Source {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.live) == 0 {
-		return nil
-	}
 	entries := make([]*relayEntry, 0, len(r.live))
 	for _, e := range r.live {
-		entries = append(entries, e)
+		if arch == "" || e.arch == arch {
+			entries = append(entries, e)
+		}
+	}
+	if len(entries) == 0 {
+		return nil
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	n := len(entries)
@@ -327,15 +335,15 @@ type RelaysResponse struct {
 // opRelays serves the relay registry (read-only). With relays disabled the
 // endpoint exists and returns an empty list, so installers and scrapers
 // never depend on configuration for the surface's presence. The asker's
-// rack comes from its mac parameter (installers send their own MAC) via
-// the nodes table, or an explicit rack parameter; without either the list
-// is rack-blind, exactly as before.
+// rack and architecture come from its mac parameter (installers send their
+// own MAC) via the nodes table; an explicit rack parameter gives the rack
+// alone. Without either the list is rack- and architecture-blind.
 func (c *Cluster) opRelays(r *http.Request) (interface{}, *apiError) {
 	resp := RelaysResponse{Sources: []installer.Source{}}
 	if c.relays != nil {
-		rack := -1
+		rack, arch := -1, ""
 		if mac := r.FormValue("mac"); mac != "" {
-			rack = c.relays.rackOf(mac)
+			rack, arch = c.relays.placeOf(mac)
 		} else if r.FormValue("rack") != "" {
 			n, aerr := formInt(r, "rack", -1, 0)
 			if aerr != nil {
@@ -343,7 +351,7 @@ func (c *Cluster) opRelays(r *http.Request) (interface{}, *apiError) {
 			}
 			rack = n
 		}
-		if srcs := c.relays.sources(rack); srcs != nil {
+		if srcs := c.relays.sources(rack, arch); srcs != nil {
 			resp.Sources = srcs
 		}
 		resp.Live = c.relays.liveCount()

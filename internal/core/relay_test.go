@@ -200,6 +200,53 @@ func TestRelayCorruptPeerDemoted(t *testing.T) {
 	}
 }
 
+// TestRelayHeterogeneousFleetNoDemotions: a node's package set follows its
+// architecture, so the registry offers an installer only peers of its own
+// architecture. Integrating a mixed i386/athlon/ia64 fleet and then
+// reinstalling it node by node, with every other node serving as a relay,
+// fetches from peers and demotes none of them.
+func TestRelayHeterogeneousFleetNoDemotions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node live integration")
+	}
+	c := newRelayCluster(t, nil)
+	var profiles []hardware.Profile
+	for i := 0; i < 2; i++ {
+		profiles = append(profiles, hardware.Catalog(c.MACs())[:5]...) // the compute types
+	}
+	nodes, err := c.IntegrateNodes(profiles, clusterdb.MembershipCompute, 0, integrationTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	archs := map[string]bool{}
+	for _, n := range nodes {
+		waitRelayEvent(t, c, lifecycle.EventRelayUp, n.Name(), 0)
+		row, ok, err := clusterdb.NodeByMAC(c.DB, n.MAC())
+		if err != nil || !ok {
+			t.Fatalf("%s not in the nodes table: %v", n.Name(), err)
+		}
+		archs[row.Arch] = true
+	}
+	if len(archs) != 3 {
+		t.Fatalf("fleet architectures = %v, want i386, athlon and ia64", archs)
+	}
+
+	peerBefore := c.installStats.PeerFetches.Load()
+	for _, n := range nodes {
+		since := c.Events().Seq()
+		if err := c.ShootNode(n.Name()); err != nil {
+			t.Fatal(err)
+		}
+		waitRelayEvent(t, c, lifecycle.EventRelayUp, n.Name(), since)
+	}
+	if c.installStats.PeerFetches.Load() == peerBefore {
+		t.Error("the relay reinstall fetched nothing from peers")
+	}
+	if demoted := c.Events().Recent(lifecycle.Filter{Type: lifecycle.EventRelayDemoted}); len(demoted) != 0 {
+		t.Errorf("%d relay-demoted events, want 0; first: %s %s", len(demoted), demoted[0].Node, demoted[0].Detail)
+	}
+}
+
 // TestRelayRackAwareSources: an installer that identifies itself (its MAC
 // resolves to a rack via the nodes table) is offered same-rack relays
 // first, and the same/cross-rack counters account for every source handed
@@ -306,7 +353,7 @@ func TestRelayRegistryChurn(t *testing.T) {
 				reg.withdraw(mac, "reinstalling")
 				// The instant withdraw returns, this relay must be out of
 				// rotation — an installer asking now may not receive it.
-				for _, s := range reg.sources(-1) {
+				for _, s := range reg.sources(-1, "") {
 					if s.Node == name {
 						t.Errorf("withdrawn relay %s handed out", name)
 					}
@@ -318,7 +365,7 @@ func TestRelayRegistryChurn(t *testing.T) {
 	if got := reg.liveCount(); got != 0 {
 		t.Errorf("live relays after full churn = %d, want 0", got)
 	}
-	if srcs := reg.sources(-1); srcs != nil {
+	if srcs := reg.sources(-1, ""); srcs != nil {
 		t.Errorf("empty registry handed out %+v", srcs)
 	}
 	if s, wd := reg.started.Load(), reg.withdrawn.Load(); s != workers*cycles || wd != workers*cycles {

@@ -59,6 +59,10 @@ type Server struct {
 	repo func() *rpm.Repository
 	mux  *http.ServeMux
 
+	// The formatted bodies of the three index endpoints, each rebuilt
+	// only when the served repository or its generation changes.
+	listingView, hdlistView, manifestView servedView
+
 	listing  atomic.Uint64
 	manifest atomic.Uint64
 	hdlist   atomic.Uint64
@@ -88,7 +92,13 @@ func NewRepoServer(repo *rpm.Repository) *Server {
 }
 
 func newServer(repo func() *rpm.Repository) *Server {
-	s := &Server{repo: repo, mux: http.NewServeMux()}
+	s := &Server{
+		repo:         repo,
+		mux:          http.NewServeMux(),
+		listingView:  servedView{build: formatListing},
+		hdlistView:   servedView{build: formatHdlist},
+		manifestView: servedView{build: func(r *rpm.Repository) string { return FormatManifest(Manifest(r)) }},
+	}
 	s.mux.HandleFunc("/RedHat/RPMS/", s.serveRPMS)
 	s.mux.HandleFunc("/RedHat/base/hdlist", s.serveHdlist)
 	s.mux.HandleFunc("/RedHat/base/manifest", s.serveManifest)
@@ -114,7 +124,7 @@ func (s *Server) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("rocks_dist_package_bytes_total", "Package body bytes served.",
 		func() float64 { return float64(s.bytes.Load()) })
 	r.GaugeFunc("rocks_dist_packages", "Packages in the served distribution.",
-		func() float64 { return float64(len(s.repo().All())) })
+		func() float64 { return float64(s.repo().Len()) })
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -129,20 +139,73 @@ func (s *Server) Stats() ServeStats {
 	}
 }
 
+// servedView caches one body derived from the served repository. The cache
+// key is the repository itself and its generation: an Add or Remove, or a
+// Distribution rebound to another repository, makes the next request
+// rebuild it. A view is published whole, so concurrent readers see either
+// the old body or the new one, and one rebuild at a time runs, so a request
+// storm after a change builds the body once.
+type servedView struct {
+	build func(*rpm.Repository) string
+	mu    sync.Mutex // serializes rebuilds
+	cur   atomic.Pointer[viewBody]
+}
+
+type viewBody struct {
+	repo *rpm.Repository
+	gen  uint64
+	body string
+}
+
+// get returns the view of repo, rebuilding it if repo changed since it was
+// last built. The generation is read before the build, so a change racing
+// the build can only make the stored body newer than its key, never older.
+func (v *servedView) get(repo *rpm.Repository) string {
+	gen := repo.Generation()
+	if b := v.cur.Load(); b != nil && b.repo == repo && b.gen == gen {
+		return b.body
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if b := v.cur.Load(); b != nil && b.repo == repo && b.gen == gen {
+		return b.body // built while this request waited
+	}
+	b := &viewBody{repo: repo, gen: gen, body: v.build(repo)}
+	v.cur.Store(b)
+	return b.body
+}
+
+// formatListing renders the RPMS/ directory listing: one package filename
+// per line, sorted. Each name is escaped so the listing stays one token per
+// line even for filenames carrying spaces or reserved URL characters, and
+// so the client can use entries verbatim as URL path segments.
+func formatListing(repo *rpm.Repository) string {
+	var names []string
+	for _, p := range repo.All() {
+		names = append(names, url.PathEscape(p.Filename()))
+	}
+	sort.Strings(names)
+	return strings.Join(names, "\n") + "\n"
+}
+
+// formatHdlist renders the hdlist, which gives installers package sizes up
+// front (progress accounting) without fetching payloads: "filename size"
+// per line, sorted.
+func formatHdlist(repo *rpm.Repository) string {
+	var lines []string
+	for _, p := range repo.All() {
+		lines = append(lines, fmt.Sprintf("%s %d", p.Filename(), p.Size))
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n") + "\n"
+}
+
 func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/RedHat/RPMS/")
 	if rest == "" {
 		s.listing.Add(1)
-		var names []string
-		for _, p := range s.repo().All() {
-			// Escape each name so the listing stays one token per line even
-			// for filenames carrying spaces or reserved URL characters, and
-			// so the client can use entries verbatim as URL path segments.
-			names = append(names, url.PathEscape(p.Filename()))
-		}
-		sort.Strings(names)
 		w.Header().Set("Content-Type", "text/plain")
-		io.WriteString(w, strings.Join(names, "\n")+"\n")
+		io.WriteString(w, s.listingView.get(s.repo()))
 		return
 	}
 	meta, err := rpm.ParseFilename(rest)
@@ -167,22 +230,15 @@ func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveHdlist(w http.ResponseWriter, r *http.Request) {
-	// The hdlist gives installers package sizes up front (progress
-	// accounting) without fetching payloads: "filename size" per line.
 	s.hdlist.Add(1)
-	var lines []string
-	for _, p := range s.repo().All() {
-		lines = append(lines, fmt.Sprintf("%s %d", p.Filename(), p.Size))
-	}
-	sort.Strings(lines)
 	w.Header().Set("Content-Type", "text/plain")
-	io.WriteString(w, strings.Join(lines, "\n")+"\n")
+	io.WriteString(w, s.hdlistView.get(s.repo()))
 }
 
 func (s *Server) serveManifest(w http.ResponseWriter, r *http.Request) {
 	s.manifest.Add(1)
 	w.Header().Set("Content-Type", "text/plain")
-	io.WriteString(w, FormatManifest(Manifest(s.repo())))
+	io.WriteString(w, s.manifestView.get(s.repo()))
 }
 
 // Handler serves a distribution read-only over HTTP. Callers that want the

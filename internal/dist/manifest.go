@@ -32,14 +32,20 @@ type ManifestEntry struct {
 }
 
 // Manifest builds the sorted manifest of a repository. Digests are computed
-// (and stamped) for packages that were built in memory and never serialized.
+// for packages that were built in memory and never serialized, without
+// stamping them: the packages are only read, so a manifest can be built
+// while other requests read the same packages.
 func Manifest(repo *rpm.Repository) []ManifestEntry {
 	var entries []ManifestEntry
 	for _, p := range repo.All() {
+		digest := p.Digest
+		if digest == "" {
+			digest = rpm.PayloadDigest(p.Files)
+		}
 		entries = append(entries, ManifestEntry{
 			NVRA:   p.NVRA(),
 			Size:   p.Size,
-			Digest: p.EnsureDigest(),
+			Digest: digest,
 			Source: p.Source,
 		})
 	}

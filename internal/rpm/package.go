@@ -10,6 +10,7 @@ import (
 	"io"
 	"path"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -49,7 +50,14 @@ type Metadata struct {
 
 // NVRA returns the canonical name-version-release.arch identifier.
 func (m Metadata) NVRA() string {
-	return fmt.Sprintf("%s-%s-%s.%s", m.Name, m.Version.Version, m.Version.Release, m.Arch)
+	return m.Name + "-" + m.Version.Version + "-" + m.Version.Release + "." + m.Arch
+}
+
+// hasNVRA reports whether the metadata carries the given version, release
+// and architecture — the NVRA fields other than the name, which repository
+// lookups have already matched by bucket.
+func (m Metadata) hasNVRA(version, release, arch string) bool {
+	return m.Version.Version == version && m.Version.Release == release && m.Arch == arch
 }
 
 // Filename returns the package file name, NVRA plus the ".rpm" suffix.
@@ -69,33 +77,43 @@ type Package struct {
 	BuildRequires []string
 }
 
-// ParseFilename splits "name-version-release.arch.rpm" back into its parts.
-// Package names may themselves contain dashes, so the version and release
-// are taken as the last two dash-separated fields.
+// ParseFilename splits "name-version-release.arch.rpm" back into its parts
+// by the rule of splitNVRA.
 func ParseFilename(fn string) (Metadata, error) {
 	var m Metadata
 	base := path.Base(fn)
 	if !strings.HasSuffix(base, ".rpm") {
 		return m, fmt.Errorf("rpm: %q does not end in .rpm", fn)
 	}
-	base = strings.TrimSuffix(base, ".rpm")
-	dot := strings.LastIndexByte(base, '.')
-	if dot < 0 {
-		return m, fmt.Errorf("rpm: %q has no architecture suffix", fn)
+	name, version, release, arch, ok := splitNVRA(strings.TrimSuffix(base, ".rpm"))
+	if !ok {
+		return m, fmt.Errorf("rpm: %q is not name-version-release.arch.rpm", fn)
 	}
-	m.Arch = base[dot+1:]
-	nvr := base[:dot]
+	m.Name, m.Arch = name, arch
+	m.Version = Version{Version: version, Release: release}
+	return m, nil
+}
+
+// splitNVRA splits "name-version-release.arch" at its last dot and the last
+// two dashes before it: package names may themselves contain dashes, so the
+// version and release are taken as the last two dash-separated fields. ok
+// is false when the architecture, release or version field is missing or
+// the name would be empty.
+func splitNVRA(nvra string) (name, version, release, arch string, ok bool) {
+	dot := strings.LastIndexByte(nvra, '.')
+	if dot < 0 {
+		return
+	}
+	nvr := nvra[:dot]
 	d2 := strings.LastIndexByte(nvr, '-')
 	if d2 <= 0 {
-		return m, fmt.Errorf("rpm: %q has no release field", fn)
+		return
 	}
 	d1 := strings.LastIndexByte(nvr[:d2], '-')
 	if d1 <= 0 {
-		return m, fmt.Errorf("rpm: %q has no version field", fn)
+		return
 	}
-	m.Name = nvr[:d1]
-	m.Version = Version{Version: nvr[d1+1 : d2], Release: nvr[d2+1:]}
-	return m, nil
+	return nvr[:d1], nvr[d1+1 : d2], nvr[d2+1:], nvra[dot+1:], true
 }
 
 // payloadSize sums the sizes of the payload files.
@@ -198,12 +216,17 @@ func PayloadDigest(files []FileEntry) string {
 	sorted := append([]FileEntry(nil), files...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 	h := sha256.New()
+	var line []byte
 	for _, f := range sorted {
 		mode := f.Mode
 		if mode == 0 {
 			mode = 0o644 // the default the tar writer applies
 		}
-		fmt.Fprintf(h, "%s\x00%o\x00%d\x00", f.Path, mode, len(f.Data))
+		// "path\0mode-in-octal\0length\0", then the contents.
+		line = append(append(line[:0], f.Path...), 0)
+		line = append(strconv.AppendUint(line, uint64(mode), 8), 0)
+		line = append(strconv.AppendInt(line, int64(len(f.Data)), 10), 0)
+		h.Write(line)
 		h.Write(f.Data)
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -17,6 +17,7 @@ type Repository struct {
 	mu   sync.RWMutex
 	name string
 	pkgs map[string][]*Package // keyed by package name, unsorted
+	gen  uint64                // bumped by every Add and successful Remove
 }
 
 // NewRepository creates an empty repository. The name is used in package
@@ -28,6 +29,16 @@ func NewRepository(name string) *Repository {
 // Name returns the repository's name.
 func (r *Repository) Name() string { return r.name }
 
+// Generation counts the repository's changes: every Add and every Remove
+// that removed a package advances it. A view derived from the repository
+// (a served listing or manifest) is current while the generation it was
+// built at still is.
+func (r *Repository) Generation() uint64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.gen
+}
+
 // Add inserts a package, stamping its Source with the repository name if
 // the package does not already carry provenance. Adding a package with an
 // NVRA that is already present replaces the existing copy (a re-pushed
@@ -35,12 +46,13 @@ func (r *Repository) Name() string { return r.name }
 func (r *Repository) Add(p *Package) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.gen++
 	if p.Source == "" {
 		p.Source = r.name
 	}
 	list := r.pkgs[p.Name]
 	for i, q := range list {
-		if q.NVRA() == p.NVRA() {
+		if q.hasNVRA(p.Version.Version, p.Version.Release, p.Arch) {
 			list[i] = p
 			return
 		}
@@ -51,31 +63,41 @@ func (r *Repository) Add(p *Package) {
 // Remove deletes the package with the given NVRA. It reports whether a
 // package was removed.
 func (r *Repository) Remove(nvra string) bool {
+	name, version, release, arch, ok := splitNVRA(nvra)
+	if !ok {
+		return false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, list := range r.pkgs {
-		for i, q := range list {
-			if q.NVRA() == nvra {
-				r.pkgs[name] = append(list[:i:i], list[i+1:]...)
-				if len(r.pkgs[name]) == 0 {
-					delete(r.pkgs, name)
-				}
-				return true
+	list := r.pkgs[name]
+	for i, q := range list {
+		if q.hasNVRA(version, release, arch) {
+			r.gen++
+			r.pkgs[name] = append(list[:i:i], list[i+1:]...)
+			if len(r.pkgs[name]) == 0 {
+				delete(r.pkgs, name)
 			}
+			return true
 		}
 	}
 	return false
 }
 
-// Get returns the package with the exact NVRA, or nil.
+// Get returns the package with the exact NVRA, or nil. It looks only at
+// the packages of the NVRA's name, so its cost does not grow with the
+// repository: every package GET a distribution server answers comes here.
+// An NVRA that does not split into name-version-release.arch matches
+// nothing.
 func (r *Repository) Get(nvra string) *Package {
+	name, version, release, arch, ok := splitNVRA(nvra)
+	if !ok {
+		return nil
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, list := range r.pkgs {
-		for _, q := range list {
-			if q.NVRA() == nvra {
-				return q
-			}
+	for _, q := range r.pkgs[name] {
+		if q.hasNVRA(version, release, arch) {
+			return q
 		}
 	}
 	return nil

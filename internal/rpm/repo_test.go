@@ -2,6 +2,7 @@ package rpm
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -184,5 +185,127 @@ func TestRepositoryConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 8*50 {
 		t.Errorf("Len = %d, want %d", r.Len(), 8*50)
+	}
+}
+
+// scanGet is the reference lookup: the full scan Repository.Get once was,
+// formatting every package's NVRA and comparing strings. The differential
+// tests pin the bucket lookup against it.
+func scanGet(r *Repository, nvra string) *Package {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, list := range r.pkgs {
+		for _, q := range list {
+			if q.NVRA() == nvra {
+				return q
+			}
+		}
+	}
+	return nil
+}
+
+// NVRA fields for the seeded repositories: dashed names, dotted releases
+// of the kind GenerateUpdates makes, and every architecture, so buckets
+// hold several architectures and source packages.
+var (
+	diffNames    = []string{"glibc", "gcc-c++", "myrinet-gm-src", "kernel-smp", "x", "rocks-dist"}
+	diffVersions = []string{"1.0", "2.4.9", "3", "7.2.96"}
+	diffReleases = []string{"1", "12", "12.3", "27.7.x", "5.1.2"}
+	diffArches   = []string{ArchI386, ArchAthlon, ArchIA64, ArchNoarch, ArchSRPM}
+)
+
+// unparseableNVRAs do not split into name-version-release.arch.
+var unparseableNVRAs = []string{
+	"", "glibc", "glibc.i386", "glibc-1.0.i386", "-1.0-1.i386", "glibc-1.0-1",
+	"gcc-c++-1", "--.", "-.i386",
+}
+
+func randomNVRAPackage(rng *rand.Rand) *Package {
+	pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
+	return New(pick(diffNames), v(pick(diffVersions), pick(diffReleases)), pick(diffArches))
+}
+
+// TestRepositoryGetMatchesScan drives seeded random repositories through
+// interleaved Add (new and replacing) and Remove sequences and checks, after
+// every step, that the bucket lookup agrees with the full scan and with a
+// model of the contents: on the NVRA just touched and the unparseable
+// ones every step, and every 25 steps on each NVRA seen so far, whether it
+// exists, has been removed, or was never added.
+func TestRepositoryGetMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRepository("diff")
+		model := map[string]*Package{} // NVRA → the package Get must return
+		seen := map[string]bool{}
+		for step := 0; step < 300; step++ {
+			p := randomNVRAPackage(rng)
+			nvra := p.NVRA()
+			seen[nvra] = true
+			if rng.Intn(3) == 0 {
+				gen := r.Generation()
+				_, present := model[nvra]
+				if got := r.Remove(nvra); got != present {
+					t.Fatalf("seed %d step %d: Remove(%s) = %v, want %v", seed, step, nvra, got, present)
+				}
+				if moved := r.Generation() != gen; moved != present {
+					t.Fatalf("seed %d step %d: Remove(%s) moved the generation: %v, want %v", seed, step, nvra, moved, present)
+				}
+				delete(model, nvra)
+			} else {
+				gen := r.Generation()
+				r.Add(p) // replaces an existing copy of the NVRA
+				if r.Generation() == gen {
+					t.Fatalf("seed %d step %d: Add(%s) left the generation at %d", seed, step, nvra, gen)
+				}
+				model[nvra] = p
+			}
+			if r.Len() != len(model) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, r.Len(), len(model))
+			}
+			probes := []string{nvra}
+			if step%25 == 0 {
+				probes = probes[:0]
+				for nvra := range seen {
+					probes = append(probes, nvra)
+				}
+			}
+			for _, nvra := range probes {
+				if got, want := r.Get(nvra), scanGet(r, nvra); got != want || got != model[nvra] {
+					t.Fatalf("seed %d step %d: Get(%s) = %v, scan = %v, model = %v", seed, step, nvra, got, want, model[nvra])
+				}
+			}
+			for _, bad := range unparseableNVRAs {
+				if got := r.Get(bad); got != nil {
+					t.Fatalf("seed %d: Get(%q) = %v for an unparseable NVRA", seed, bad, got)
+				}
+				if r.Remove(bad) {
+					t.Fatalf("seed %d: Remove(%q) removed something for an unparseable NVRA", seed, bad)
+				}
+			}
+		}
+	}
+}
+
+// TestRepositoryGetEveryName: a lookup by each stored package's own NVRA
+// finds exactly that package, whatever dashes its name or dots its release
+// carry, and a name that differs only in a shared prefix finds nothing.
+func TestRepositoryGetEveryName(t *testing.T) {
+	r := NewRepository("dist")
+	for _, name := range diffNames {
+		for _, rel := range diffReleases {
+			for _, arch := range diffArches {
+				r.Add(New(name, v("1.0", rel), arch))
+			}
+		}
+	}
+	for _, p := range r.All() {
+		if got := r.Get(p.NVRA()); got != p {
+			t.Errorf("Get(%s) = %v", p.NVRA(), got)
+		}
+	}
+	for _, nvra := range []string{"gcc-1.0-1.i386", "c++-1.0-1.i386", "myrinet-gm-1.0-1.src", "glibc-1.0-1.alpha"} {
+		if got := r.Get(nvra); got != nil {
+			t.Errorf("Get(%s) = %v, want nil", nvra, got)
+		}
 	}
 }
