@@ -245,7 +245,7 @@ func runDemo(c *core.Cluster) error {
 	mon.Probe()
 	fmt.Print(mon.Report())
 
-	fmt.Println("\n== node lifecycle timeline (/admin/events) ==")
+	fmt.Println("\n== node lifecycle timeline (/v1/events) ==")
 	if len(names) > 0 {
 		fmt.Printf("%s:\n", names[0])
 		fmt.Print(lifecycle.FormatTimeline(c.NodeTimeline(names[0])))

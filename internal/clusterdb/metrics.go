@@ -5,7 +5,7 @@ import (
 )
 
 // RegisterMetrics exposes the database's fast-path and durability counters
-// on the cluster's metrics registry — the same figures /admin/dbstats
+// on the cluster's metrics registry — the same figures /v1/dbstats
 // serves as JSON, re-homed onto the one scrapeable surface. Collector
 // funcs sample the live atomics at scrape time, so registration costs the
 // hot paths nothing.

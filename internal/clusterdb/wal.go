@@ -78,7 +78,7 @@ type Options struct {
 	onReplay func(*Database)
 }
 
-// WALStats counts the durability layer's traffic for /admin/dbstats.
+// WALStats counts the durability layer's traffic for /v1/dbstats.
 type WALStats struct {
 	Dir              string `json:"dir"`
 	RecordsAppended  uint64 `json:"records_appended"`

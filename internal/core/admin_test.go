@@ -1,54 +1,43 @@
 package core
 
 import (
-	"encoding/json"
-
-	"io"
 	"net/http"
 	"net/url"
-	"rocks/internal/clusterdb"
 	"strings"
 	"testing"
-)
 
-func adminGet(t *testing.T, c *Cluster, path string, params url.Values) (int, string) {
-	t.Helper()
-	u := c.BaseURL() + path
-	if params != nil {
-		u += "?" + params.Encode()
-	}
-	resp, err := http.Get(u)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, string(body)
-}
+	"rocks/internal/clusterdb"
+)
 
 func TestAdminSQL(t *testing.T) {
 	c := newCluster(t)
 	addComputes(t, c, 2)
-	code, body := adminGet(t, c, "/admin/sql", url.Values{"q": {"SELECT name FROM nodes ORDER BY id"}})
-	if code != 200 || !strings.Contains(body, "compute-0-1") {
-		t.Errorf("sql: %d %q", code, body)
+	var res SQLResponse
+	code, body, _ := v1Call(t, c, http.MethodGet, "/v1/sql", url.Values{"q": {"SELECT name FROM nodes ORDER BY id"}})
+	if code != 200 {
+		t.Fatalf("sql: %d %q", code, body)
+	}
+	dataOf(t, body, &res)
+	if !strings.Contains(res.Result, "compute-0-1") {
+		t.Errorf("sql result = %q", res.Result)
 	}
 	// Mutations rejected without exec=1.
-	code, _ = adminGet(t, c, "/admin/sql", url.Values{"q": {"DELETE FROM nodes"}})
+	code, _, _ = v1Call(t, c, http.MethodGet, "/v1/sql", url.Values{"q": {"DELETE FROM nodes"}})
 	if code != 400 {
 		t.Errorf("mutation without exec: %d", code)
 	}
-	code, _ = adminGet(t, c, "/admin/sql", url.Values{
+	code, _, _ = v1Call(t, c, http.MethodPost, "/v1/sql", url.Values{
 		"q":    {"UPDATE nodes SET comment = 'retired' WHERE name = 'compute-0-1'"},
 		"exec": {"1"}})
 	if code != 200 {
 		t.Errorf("exec update: %d", code)
 	}
-	_, body = adminGet(t, c, "/admin/sql", url.Values{"q": {"SELECT comment FROM nodes WHERE name = 'compute-0-1'"}})
-	if !strings.Contains(body, "retired") {
-		t.Errorf("update lost: %q", body)
+	_, body, _ = v1Call(t, c, http.MethodGet, "/v1/sql", url.Values{"q": {"SELECT comment FROM nodes WHERE name = 'compute-0-1'"}})
+	dataOf(t, body, &res)
+	if !strings.Contains(res.Result, "retired") {
+		t.Errorf("update lost: %q", res.Result)
 	}
-	code, _ = adminGet(t, c, "/admin/sql", nil)
+	code, _, _ = v1Call(t, c, http.MethodGet, "/v1/sql", nil)
 	if code != 400 {
 		t.Errorf("missing q: %d", code)
 	}
@@ -57,26 +46,22 @@ func TestAdminSQL(t *testing.T) {
 func TestAdminForkAndKill(t *testing.T) {
 	c := newCluster(t)
 	nodes := addComputes(t, c, 2)
-	code, body := adminGet(t, c, "/admin/fork", url.Values{"cmd": {"hostname"}})
+	code, body, _ := v1Call(t, c, http.MethodPost, "/v1/fork", url.Values{"cmd": {"hostname"}})
 	if code != 200 {
 		t.Fatalf("fork: %d %s", code, body)
 	}
 	var fr ForkResponse
-	if err := json.Unmarshal([]byte(body), &fr); err != nil {
-		t.Fatal(err)
-	}
+	dataOf(t, body, &fr)
 	if len(fr.Results) != 2 || fr.Results[0].Output != "compute-0-0\n" {
 		t.Errorf("fork results = %+v", fr)
 	}
 
 	nodes[0].StartProcess("runaway")
-	code, body = adminGet(t, c, "/admin/kill", url.Values{"process": {"runaway"}})
+	code, body, _ = v1Call(t, c, http.MethodPost, "/v1/kill", url.Values{"process": {"runaway"}})
 	if code != 200 {
 		t.Fatalf("kill: %d %s", code, body)
 	}
-	if err := json.Unmarshal([]byte(body), &fr); err != nil {
-		t.Fatal(err)
-	}
+	dataOf(t, body, &fr)
 	if fr.Killed != 1 {
 		t.Errorf("killed = %d", fr.Killed)
 	}
@@ -84,24 +69,22 @@ func TestAdminForkAndKill(t *testing.T) {
 
 func TestAdminIntegrateAndShoot(t *testing.T) {
 	c := newCluster(t)
-	code, body := adminGet(t, c, "/admin/integrate", url.Values{"count": {"2"}, "wait": {"60"}})
+	code, body, _ := v1Call(t, c, http.MethodPost, "/v1/integrate", url.Values{"count": {"2"}, "wait": {"60"}})
 	if code != 200 {
 		t.Fatalf("integrate: %d %s", code, body)
 	}
 	var resp map[string][]string
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
+	dataOf(t, body, &resp)
 	if len(resp["integrated"]) != 2 || resp["integrated"][0] != "compute-0-0" {
 		t.Errorf("integrated = %v", resp)
 	}
 
-	code, body = adminGet(t, c, "/admin/shoot", url.Values{"node": {"compute-0-0"}, "watch": {"1"}})
+	code, body, _ = v1Call(t, c, http.MethodPost, "/v1/shoot", url.Values{"node": {"compute-0-0"}, "watch": {"1"}})
 	if code != 200 {
 		t.Fatalf("shoot: %d %s", code, body)
 	}
 	var shoot map[string]string
-	json.Unmarshal([]byte(body), &shoot)
+	dataOf(t, body, &shoot)
 	if shoot["ekv"] == "" {
 		t.Errorf("shoot did not report an eKV address: %v", shoot)
 	}
@@ -113,7 +96,7 @@ func TestAdminIntegrateAndShoot(t *testing.T) {
 		t.Errorf("installs = %d", n.Installs())
 	}
 
-	code, _ = adminGet(t, c, "/admin/shoot", url.Values{"node": {"ghost"}})
+	code, _, _ = v1Call(t, c, http.MethodPost, "/v1/shoot", url.Values{"node": {"ghost"}})
 	if code != 404 {
 		t.Errorf("shooting a ghost: %d, want 404 (unknown node)", code)
 	}
@@ -122,23 +105,30 @@ func TestAdminIntegrateAndShoot(t *testing.T) {
 func TestAdminAddUserAndConsistency(t *testing.T) {
 	c := newCluster(t)
 	addComputes(t, c, 1)
-	code, _ := adminGet(t, c, "/admin/adduser", url.Values{"name": {"bruno"}, "uid": {"500"}})
+	code, _, _ := v1Call(t, c, http.MethodPost, "/v1/adduser", url.Values{"name": {"bruno"}, "uid": {"500"}})
 	if code != 200 {
 		t.Fatalf("adduser: %d", code)
 	}
 	if _, ok := c.NIS.Lookup("bruno"); !ok {
 		t.Error("user missing from NIS")
 	}
-	code, body := adminGet(t, c, "/admin/consistency", nil)
-	if code != 200 || !strings.Contains(body, `"reference":"compute-0-0"`) {
-		t.Errorf("consistency: %d %q", code, body)
+	code, body, _ := v1Call(t, c, http.MethodGet, "/v1/consistency", nil)
+	if code != 200 {
+		t.Fatalf("consistency: %d %q", code, body)
+	}
+	var report struct {
+		Reference string `json:"reference"`
+	}
+	dataOf(t, body, &report)
+	if report.Reference != "compute-0-0" {
+		t.Errorf("consistency reference = %q, want compute-0-0 (%s)", report.Reference, body)
 	}
 }
 
 func TestAdminReinstallCluster(t *testing.T) {
 	c := newCluster(t)
 	nodes := addComputes(t, c, 2)
-	code, body := adminGet(t, c, "/admin/reinstall-cluster", url.Values{"wait": {"60"}})
+	code, body, _ := v1Call(t, c, http.MethodPost, "/v1/reinstall-cluster", url.Values{"wait": {"60"}})
 	if code != 200 {
 		t.Fatalf("reinstall-cluster: %d %s", code, body)
 	}
@@ -178,8 +168,8 @@ func TestKickstartCGIErrors(t *testing.T) {
 	if resp.StatusCode != 403 {
 		t.Errorf("switch membership: %d, want 403 (no kickstartable appliance)", resp.StatusCode)
 	}
-	// adminAddUser without a name → 400.
-	code, _ := adminGet(t, c, "/admin/adduser", nil)
+	// adduser without a name → 400.
+	code, _, _ := v1Call(t, c, http.MethodPost, "/v1/adduser", nil)
 	if code != 400 {
 		t.Errorf("adduser without name: %d", code)
 	}

@@ -3,18 +3,18 @@ package core
 import (
 	"sync"
 	"time"
+
+	"rocks/internal/ring"
 )
 
 // The audit log answers "who changed the cluster, and did it work?" — the
 // question the bespoke admin endpoints never recorded. Every mutating
 // control-plane call (sql exec, shoot, kill, fork, integrate, adduser,
 // reinstall-cluster) lands here with its actor, parameters, outcome, and
-// HTTP status, on both the /v1 surface and the legacy /admin aliases. The
-// log is a bounded ring like the lifecycle bus: old entries are evicted,
-// never the process's memory.
+// HTTP status. The log is a bounded ring like the lifecycle bus: old
+// entries are evicted, never the process's memory.
 
-// DefaultAuditRingSize bounds the audit ring when Config.AuditRingSize is
-// zero.
+// DefaultAuditRingSize bounds the audit ring.
 const DefaultAuditRingSize = 1024
 
 // AuditEntry is one recorded mutation.
@@ -34,20 +34,14 @@ type AuditEntry struct {
 
 // auditLog is a bounded ring of AuditEntries, safe for concurrent use.
 type auditLog struct {
-	mu      sync.Mutex
-	ring    []AuditEntry
-	start   int
-	count   int
-	seq     uint64
-	evicted uint64
-	errors  uint64
+	mu     sync.Mutex
+	ring   *ring.Ring[AuditEntry]
+	seq    uint64
+	errors uint64
 }
 
-func newAuditLog(size int) *auditLog {
-	if size <= 0 {
-		size = DefaultAuditRingSize
-	}
-	return &auditLog{ring: make([]AuditEntry, size)}
+func newAuditLog() *auditLog {
+	return &auditLog{ring: ring.New[AuditEntry](DefaultAuditRingSize)}
 }
 
 // record stamps the entry with a sequence number and timestamp and appends
@@ -62,13 +56,7 @@ func (a *auditLog) record(e AuditEntry) AuditEntry {
 	if e.Outcome != "ok" {
 		a.errors++
 	}
-	if a.count == len(a.ring) {
-		a.start = (a.start + 1) % len(a.ring)
-		a.evicted++
-	} else {
-		a.count++
-	}
-	a.ring[(a.start+a.count-1)%len(a.ring)] = e
+	a.ring.Push(e)
 	a.mu.Unlock()
 	return e
 }
@@ -85,28 +73,13 @@ type auditFilter struct {
 // recent returns matching entries still in the ring, oldest first.
 func (a *auditLog) recent(f auditFilter) []AuditEntry {
 	a.mu.Lock()
-	out := make([]AuditEntry, 0, a.count)
-	for i := 0; i < a.count; i++ {
-		e := a.ring[(a.start+i)%len(a.ring)]
-		if f.Op != "" && e.Op != f.Op {
-			continue
-		}
-		if f.Actor != "" && e.Actor != f.Actor {
-			continue
-		}
-		if f.Outcome != "" && e.Outcome != f.Outcome {
-			continue
-		}
-		if e.Seq <= f.SinceSeq {
-			continue
-		}
-		out = append(out, e)
-	}
-	a.mu.Unlock()
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[len(out)-f.Limit:]
-	}
-	return out
+	defer a.mu.Unlock()
+	return a.ring.Select(func(e AuditEntry) bool {
+		return (f.Op == "" || e.Op == f.Op) &&
+			(f.Actor == "" || e.Actor == f.Actor) &&
+			(f.Outcome == "" || e.Outcome == f.Outcome) &&
+			e.Seq > f.SinceSeq
+	}, f.Limit)
 }
 
 // stats snapshots the log's counters for /metrics and the /v1/audit header
@@ -114,5 +87,5 @@ func (a *auditLog) recent(f auditFilter) []AuditEntry {
 func (a *auditLog) stats() (seq, evicted, errors uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.seq, a.evicted, a.errors
+	return a.seq, a.ring.Evicted(), a.errors
 }

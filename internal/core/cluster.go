@@ -96,9 +96,6 @@ type Config struct {
 	// DBSnapshotEvery overrides how many logged mutations trigger an
 	// automatic snapshot + log rotation; zero means the clusterdb default.
 	DBSnapshotEvery int
-	// AuditRingSize bounds the control-plane audit log's ring buffer;
-	// zero means DefaultAuditRingSize.
-	AuditRingSize int
 	// EnableRelays turns on the peer distribution tier: completed nodes
 	// re-serve their verified package trees, the frontend's /v1/relays
 	// registry hands installers prioritized peer sources, and installs
@@ -146,7 +143,7 @@ type Cluster struct {
 
 	// events is the lifecycle spine: installer, monitor, supervisor,
 	// insert-ethers, the PDU, and the cluster itself publish typed
-	// node-lifecycle events into one bounded ring (/admin/events).
+	// node-lifecycle events into one bounded ring (/v1/events).
 	events *lifecycle.Bus
 
 	DB     *clusterdb.Database
@@ -168,7 +165,7 @@ type Cluster struct {
 	baseURL string
 	// distSrv serves c.Dist under /install/dist/ and counts its traffic;
 	// mirrorReport records the parent replication pass when ParentURL was
-	// set. Both feed /admin/diststats. mirrorRepo keeps the mirrored repo
+	// set. Both feed /v1/diststats. mirrorRepo keeps the mirrored repo
 	// itself as the delta baseline for Remirror, and localSources the
 	// pre-mirror source list a rebuild layers under the fresh mirror.
 	distSrv      *dist.Server
@@ -385,7 +382,7 @@ func New(cfg Config) (*Cluster, error) {
 	// One scrapeable surface for every layer's counters, plus the audit
 	// log the control plane records mutations into. Both must exist
 	// before startHTTP registers their endpoints.
-	c.audit = newAuditLog(cfg.AuditRingSize)
+	c.audit = newAuditLog()
 	if cfg.EnableRelays {
 		c.relays = newRelayRegistry(c)
 	}
@@ -470,13 +467,13 @@ func (c *Cluster) BaseURL() string { return c.baseURL }
 
 // Events returns the cluster's lifecycle event bus. Subscribe for reactive
 // consumption, or query Recent/Timeline for the bounded history that
-// /admin/events serves.
+// /v1/events serves.
 func (c *Cluster) Events() *lifecycle.Bus { return c.events }
 
 // NodeTimeline returns every lifecycle event for a node, identified by
 // hostname or MAC, merged across its identities: events published before
 // insert-ethers bound a name carry the MAC, later ones the hostname. The
-// result is the /admin/events?node=X view — discover through install, up,
+// result is the /v1/events?node=X view — discover through install, up,
 // dark, and remediation — in publish order.
 func (c *Cluster) NodeTimeline(hostOrMAC string) []lifecycle.Event {
 	events := c.events.Timeline(hostOrMAC)

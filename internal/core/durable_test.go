@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/json"
+	"net/http"
 	"testing"
 	"time"
 
@@ -13,7 +13,7 @@ import (
 // directory, integrates compute nodes, shuts down cleanly, and boots a
 // second frontend on the same directory: the node rows survive, the new
 // frontend announces the recovery on the lifecycle bus, and
-// /admin/dbstats exposes the WAL counters and recovery summary.
+// /v1/dbstats exposes the WAL counters and recovery summary.
 func TestDurableClusterRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Name: "Meteor", DHCPRetry: 2 * time.Millisecond, DBDir: dir}
@@ -59,8 +59,8 @@ func TestDurableClusterRestart(t *testing.T) {
 		t.Errorf("db-recovered event = %+v", evs[0])
 	}
 
-	// /admin/dbstats carries the WAL counters and the recovery summary.
-	code, body := adminGet(t, c2, "/admin/dbstats", nil)
+	// /v1/dbstats carries the WAL counters and the recovery summary.
+	code, body, _ := v1Call(t, c2, http.MethodGet, "/v1/dbstats", nil)
 	if code != 200 {
 		t.Fatalf("dbstats: %d %q", code, body)
 	}
@@ -70,9 +70,7 @@ func TestDurableClusterRestart(t *testing.T) {
 		} `json:"db"`
 		Recovery *clusterdb.RecoveryInfo `json:"recovery"`
 	}
-	if err := json.Unmarshal([]byte(body), &stats); err != nil {
-		t.Fatalf("dbstats json: %v\n%s", err, body)
-	}
+	dataOf(t, body, &stats)
 	if stats.DB.WAL == nil {
 		t.Fatal("dbstats missing wal counters on a durable database")
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -82,20 +80,16 @@ func TestHealthMonitorFlagsDarkNode(t *testing.T) {
 	}
 
 	// The health endpoint points at the right outlet.
-	resp, err := http.Get(c.BaseURL() + "/admin/health")
-	if err != nil {
-		t.Fatal(err)
+	code, body, _ := v1Call(t, c, http.MethodGet, "/v1/health", nil)
+	if code != 200 {
+		t.Fatalf("/v1/health = %d: %s", code, body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	var rows []struct {
 		Host   string `json:"host"`
 		Alive  bool   `json:"alive"`
 		Outlet int    `json:"outlet"`
 	}
-	if err := json.Unmarshal(body, &rows); err != nil {
-		t.Fatalf("health JSON: %v (%s)", err, body)
-	}
+	dataOf(t, body, &rows)
 	var found bool
 	for _, r := range rows {
 		if r.Host == "compute-0-0" {

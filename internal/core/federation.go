@@ -19,6 +19,7 @@ import (
 	"rocks/internal/federation"
 	"rocks/internal/hardware"
 	"rocks/internal/lifecycle"
+	"rocks/internal/ring"
 )
 
 // The federated frontend hierarchy makes the management plane match the
@@ -85,7 +86,7 @@ type fedChild struct {
 	forwarded uint64
 	lastSeq   uint64
 	dark      bool
-	mirror    []lifecycle.Event // bounded ring of forwarded events, shard-stamped
+	mirror    *ring.Ring[lifecycle.Event] // forwarded events, shard-stamped
 	// Last successful /metrics exposition and when it was scraped: the
 	// stale fallback a merged scrape serves while the child is dark, aged
 	// by rocks_federation_child_last_scrape_seconds.
@@ -154,10 +155,7 @@ func (ch *fedChild) ingest(events []lifecycle.Event) {
 		if e.Shard == ch.shard.Name && e.Seq > ch.lastSeq {
 			ch.lastSeq = e.Seq
 		}
-		ch.mirror = append(ch.mirror, e)
-	}
-	if over := len(ch.mirror) - fedMirrorRing; over > 0 {
-		ch.mirror = append(ch.mirror[:0], ch.mirror[over:]...)
+		ch.mirror.Push(e)
 	}
 	ch.forwarded += uint64(len(events))
 	ch.lastSeen = time.Now()
@@ -167,26 +165,10 @@ func (ch *fedChild) ingest(events []lifecycle.Event) {
 
 // mirrorEvents returns the child's forwarded history matching the filter
 // — the stale view a merged query falls back to when the child is dark.
-func (ch *fedChild) mirrorEvents(f lifecycle.Filter, nodeID string, limit int) []lifecycle.Event {
+func (ch *fedChild) mirrorEvents(f lifecycle.Filter) []lifecycle.Event {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	var out []lifecycle.Event
-	for _, e := range ch.mirror {
-		if nodeID != "" && e.Node != nodeID && e.MAC != nodeID {
-			continue
-		}
-		if (f.Type != "" && e.Type != f.Type) ||
-			(f.Phase != "" && e.Phase != f.Phase) ||
-			(f.Source != "" && e.Source != f.Source) ||
-			e.Seq <= f.SinceSeq {
-			continue
-		}
-		out = append(out, e)
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
-	}
-	return out
+	return ch.mirror.Select(f.Matches, f.Limit)
 }
 
 // getForwarder reads the child-side forwarder (nil until startForwarder).
@@ -340,7 +322,7 @@ func (c *Cluster) opFederation(r *http.Request) (interface{}, *apiError) {
 		resp.Children = append(resp.Children, FederationChildInfo{
 			Shard: ch.shard, URL: ch.url, Registered: ch.registered,
 			LastSeen: ch.lastSeen, Forwarded: ch.forwarded,
-			LastSeq: ch.lastSeq, Dark: ch.dark, Mirrored: len(ch.mirror),
+			LastSeq: ch.lastSeq, Dark: ch.dark, Mirrored: ch.mirror.Len(),
 		})
 		ch.mu.Unlock()
 	}
@@ -387,6 +369,7 @@ func (c *Cluster) opFedRegister(r *http.Request) (interface{}, *apiError) {
 		url:        strings.TrimSuffix(childURL, "/"),
 		registered: time.Now(),
 		lastSeen:   time.Now(),
+		mirror:     ring.New[lifecycle.Event](fedMirrorRing),
 	}
 	ch.client = &apiclient.Client{Base: ch.url, Actor: "federation/" + c.fed.shard.Name, HTTP: c.fed.client}
 	c.fed.mu.Lock()
@@ -545,8 +528,8 @@ func (c *Cluster) fanNodes(r *http.Request, payload interface{}) (interface{}, *
 }
 
 // EventsResponse is the /v1/events payload. The federation fields are
-// empty on a standalone frontend, so the pre-federation response shape —
-// and the legacy /admin/events alias — are byte-compatible.
+// empty on a standalone frontend, so the pre-federation response shape is
+// byte-compatible.
 type EventsResponse struct {
 	Events  []lifecycle.Event        `json:"events"`
 	Seq     uint64                   `json:"seq"`
@@ -557,19 +540,26 @@ type EventsResponse struct {
 	Deduped int                      `json:"deduped,omitempty"`
 }
 
-// eventQuery re-parses the filter parameters opEvents accepted, for the
-// fan-out and the mirror fallback.
-func eventQuery(r *http.Request) (lifecycle.Filter, string, int) {
-	since, _ := formInt(r, "since", 0, 0)
-	limit, _ := formInt(r, "limit", 0, 0)
-	f := lifecycle.Filter{
+// eventQuery parses /v1/events' filter parameters: node, type, phase,
+// source, since and limit. opEvents reports its errors; the fan-out and
+// the mirror fallback run only after opEvents accepted the request.
+func eventQuery(r *http.Request) (lifecycle.Filter, *apiError) {
+	since, aerr := formInt(r, "since", 0, 0)
+	if aerr != nil {
+		return lifecycle.Filter{}, aerr
+	}
+	limit, aerr := formInt(r, "limit", 0, 0)
+	if aerr != nil {
+		return lifecycle.Filter{}, aerr
+	}
+	return lifecycle.Filter{
+		Node:     r.FormValue("node"),
 		Type:     lifecycle.EventType(r.FormValue("type")),
 		Phase:    lifecycle.Phase(r.FormValue("phase")),
 		Source:   r.FormValue("source"),
 		SinceSeq: uint64(since),
 		Limit:    limit,
-	}
-	return f, r.FormValue("node"), limit
+	}, nil
 }
 
 // fanEvents merges child event streams into the local view: live child
@@ -582,7 +572,7 @@ func (c *Cluster) fanEvents(r *http.Request, payload interface{}) (interface{}, 
 	if len(children) == 0 {
 		return local, nil
 	}
-	filter, nodeID, limit := eventQuery(r)
+	filter, _ := eventQuery(r)
 	params := url.Values{}
 	for k, vs := range r.URL.Query() {
 		params[k] = vs
@@ -619,14 +609,14 @@ func (c *Cluster) fanEvents(r *http.Request, payload interface{}) (interface{}, 
 		// Dark child: fall back to the forwarded mirror, honestly flagged.
 		st.Error = results[i].err.Error()
 		st.Stale = true
-		mirror := ch.mirrorEvents(filter, nodeID, limit)
+		mirror := ch.mirrorEvents(filter)
 		st.Count = len(mirror)
 		merged.Partial = true
 		c.fed.fanoutErrors.Add(1)
 		batches = append(batches, federation.EventBatch{Shard: ch.shard.Name, Events: mirror})
 		merged.Shards = append(merged.Shards, st)
 	}
-	events, deduped := federation.MergeEvents(batches, limit)
+	events, deduped := federation.MergeEvents(batches, filter.Limit)
 	merged.Events = events
 	merged.Deduped += deduped
 	c.fed.deduped.Add(uint64(deduped))

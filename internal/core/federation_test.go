@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/url"
 	"testing"
@@ -238,6 +240,96 @@ func TestFederationDarkChildPartial(t *testing.T) {
 	}
 	// keep the unused var honest
 	_ = a
+}
+
+// TestFederationMirrorOverflow: the parent's mirror of a child's forwarded
+// events is bounded at fedMirrorRing. Past that the oldest events go, and a
+// dark child's fallback serves the newest ones in order, filtered exactly
+// as the live query would filter them.
+func TestFederationMirrorOverflow(t *testing.T) {
+	parent := newFedCluster(t, "HQ")
+	// A registered child nothing listens for: every fan-out to it fails,
+	// so merged queries fall back to its mirror.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadURL := "http://" + ln.Addr().String()
+	ln.Close()
+	if code, body, _ := v1Call(t, parent, http.MethodPost, "/v1/federation/register",
+		url.Values{"shard": {"deptZ"}, "url": {deadURL}}); code != 200 {
+		t.Fatalf("register = %d: %s", code, body)
+	}
+
+	const extra = 100
+	total := fedMirrorRing + extra
+	base := time.Now().Add(-time.Hour)
+	events := make([]lifecycle.Event, total)
+	for i := range events {
+		seq := i + 1
+		host := seq % 2
+		typ := lifecycle.EventKickstart
+		if seq%3 == 0 {
+			typ = lifecycle.EventLease
+		}
+		events[i] = lifecycle.Event{
+			Seq: uint64(seq), Time: base.Add(time.Duration(seq) * time.Millisecond),
+			Node: fmt.Sprintf("compute-9-%d", host), MAC: fmt.Sprintf("02:00:00:00:09:%02d", host),
+			Phase: lifecycle.PhaseInstall, Type: typ, Source: "installer",
+		}
+	}
+	for lo := 0; lo < total; lo += 1000 {
+		hi := lo + 1000
+		if hi > total {
+			hi = total
+		}
+		raw, _ := json.Marshal(events[lo:hi])
+		if code, body := postFacts(t, parent, "/v1/federation/events?shard=deptZ", raw); code != 200 {
+			t.Fatalf("forward batch %d-%d = %d: %s", lo, hi, code, body)
+		}
+	}
+
+	_, body, _ := v1Call(t, parent, http.MethodGet, "/v1/federation", nil)
+	var fed FederationResponse
+	dataOf(t, body, &fed)
+	if len(fed.Children) != 1 || fed.Children[0].Mirrored != fedMirrorRing || fed.Children[0].Forwarded != uint64(total) {
+		t.Fatalf("children = %+v, want deptZ with %d mirrored of %d forwarded", fed.Children, fedMirrorRing, total)
+	}
+
+	// What the mirror still holds for compute-9-1's leases, newest last.
+	var want []uint64
+	for _, e := range events[extra:] {
+		if e.Node == "compute-9-1" && e.Type == lifecycle.EventLease {
+			want = append(want, e.Seq)
+		}
+	}
+	for _, limit := range []int{0, 5} {
+		params := url.Values{"node": {"compute-9-1"}, "type": {"lease"}}
+		wantSeqs := want
+		if limit > 0 {
+			params.Set("limit", fmt.Sprint(limit))
+			wantSeqs = want[len(want)-limit:]
+		}
+		code, body, _ := v1Call(t, parent, http.MethodGet, "/v1/events", params)
+		if code != 200 {
+			t.Fatalf("/v1/events %v = %d: %s", params, code, body)
+		}
+		var resp EventsResponse
+		dataOf(t, body, &resp)
+		if !resp.Partial || len(resp.Shards) != 1 || !resp.Shards[0].Stale {
+			t.Errorf("limit=%d: dark child not flagged stale: partial=%v shards=%+v", limit, resp.Partial, resp.Shards)
+		}
+		var got []uint64
+		for _, e := range resp.Events {
+			if e.Shard != "deptZ" || e.Node != "compute-9-1" || e.Type != lifecycle.EventLease {
+				t.Fatalf("limit=%d: filter leak: %+v", limit, e)
+			}
+			got = append(got, e.Seq)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(wantSeqs) {
+			t.Errorf("limit=%d: mirror fallback seqs = %v,\nwant %v", limit, got, wantSeqs)
+		}
+	}
 }
 
 // TestFederationRemirrorCascadeZeroBodies: an unchanged distribution

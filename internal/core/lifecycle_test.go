@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -17,7 +16,7 @@ import (
 
 // TestNodeLifecycleTimeline drives one node through its whole life —
 // discovery, install, service, darkness, supervised power cycle, recovery —
-// and asserts that /admin/events?node= replays it as a single ordered
+// and asserts that /v1/events?node= replays it as a single ordered
 // timeline fed by every producer layer.
 func TestNodeLifecycleTimeline(t *testing.T) {
 	c := newCluster(t)
@@ -38,18 +37,16 @@ func TestNodeLifecycleTimeline(t *testing.T) {
 		t.Fatalf("node never recovered: %v\nevents:\n%s", err, s.EventLog())
 	}
 
-	code, body := adminGet(t, c, "/admin/events", url.Values{"node": {"compute-0-0"}})
+	code, body, _ := v1Call(t, c, http.MethodGet, "/v1/events", url.Values{"node": {"compute-0-0"}})
 	if code != 200 {
-		t.Fatalf("/admin/events: %d %q", code, body)
+		t.Fatalf("/v1/events: %d %q", code, body)
 	}
 	var resp struct {
 		Events  []lifecycle.Event `json:"events"`
 		Seq     uint64            `json:"seq"`
 		Dropped uint64            `json:"dropped"`
 	}
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatalf("events JSON: %v (%s)", err, body)
-	}
+	dataOf(t, body, &resp)
 
 	// The timeline must contain the canonical subsequence, in order. Other
 	// events — the reinstall's second lease/kickstart/…/up — interleave
@@ -108,17 +105,15 @@ func TestAdminEventsFilters(t *testing.T) {
 	c := newCluster(t)
 	addComputes(t, c, 2)
 
-	code, body := adminGet(t, c, "/admin/events",
+	code, body, _ := v1Call(t, c, http.MethodGet, "/v1/events",
 		url.Values{"type": {"bound"}, "source": {"insert-ethers"}})
 	if code != 200 {
-		t.Fatalf("/admin/events: %d %q", code, body)
+		t.Fatalf("/v1/events: %d %q", code, body)
 	}
 	var resp struct {
 		Events []lifecycle.Event `json:"events"`
 	}
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatalf("events JSON: %v (%s)", err, body)
-	}
+	dataOf(t, body, &resp)
 	if len(resp.Events) != 2 {
 		t.Fatalf("bound events = %d, want 2:\n%s", len(resp.Events), body)
 	}
@@ -129,11 +124,9 @@ func TestAdminEventsFilters(t *testing.T) {
 	}
 
 	// limit keeps the most recent matches.
-	_, body = adminGet(t, c, "/admin/events", url.Values{"type": {"bound"}, "limit": {"1"}})
+	_, body, _ = v1Call(t, c, http.MethodGet, "/v1/events", url.Values{"type": {"bound"}, "limit": {"1"}})
 	resp.Events = nil
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
+	dataOf(t, body, &resp)
 	if len(resp.Events) != 1 || resp.Events[0].Node != "compute-0-1" {
 		t.Errorf("limit=1 = %+v, want the most recent bound (compute-0-1)", resp.Events)
 	}

@@ -9,15 +9,15 @@ import (
 
 // registerMetrics builds the cluster's metrics registry — the /metrics
 // surface — and registers every layer's counters on it: the figures that
-// used to live only in the bespoke JSON of /admin/dbstats, /admin/diststats,
-// /admin/supervisor, and /admin/events, plus the node-population and
+// used to live only in the JSON of /v1/dbstats, /v1/diststats,
+// /v1/supervisor, and /v1/events, plus the node-population and
 // control-plane gauges. Everything is a collector func sampling live state
 // at scrape time; the registry costs the instrumented paths nothing.
 func (c *Cluster) registerMetrics() {
 	r := metrics.NewRegistry()
 	c.metricsReg = r
 
-	// Database fast path + WAL (the /admin/dbstats "db" block).
+	// Database fast path + WAL (the /v1/dbstats "db" block).
 	c.DB.RegisterMetrics(r)
 
 	// Kickstart profile cache. The families exist even when the cache is
@@ -148,7 +148,7 @@ func (c *Cluster) registerMetrics() {
 	// Lifecycle bus health.
 	c.events.RegisterMetrics(r)
 
-	// Report coalescer (the /admin/dbstats "reports" block).
+	// Report coalescer (the /v1/dbstats "reports" block).
 	r.CounterFunc("rocks_reports_writes_total",
 		"Report regenerations actually performed.",
 		func() float64 { return float64(c.ReportStats().Writes) })
@@ -162,7 +162,7 @@ func (c *Cluster) registerMetrics() {
 	// Installer outcomes, aggregated across every node's installs.
 	c.installStats.RegisterMetrics(r)
 
-	// Supervisor remediation (the /admin/supervisor figures).
+	// Supervisor remediation (the /v1/supervisor figures).
 	r.CounterFunc("rocks_supervisor_power_cycles_total",
 		"Hard power cycles the supervisor commanded.",
 		func() float64 { return float64(c.supStats.powerCycles.Load()) })
@@ -337,7 +337,7 @@ func (c *Cluster) registerMetrics() {
 
 	// Control plane: per-op traffic and the mutation audit log.
 	c.apiReqs = r.CounterVec("rocks_api_requests_total",
-		"Control-plane requests by operation, both /v1 and legacy /admin.", "op")
+		"Control-plane requests to /v1 by operation.", "op")
 	r.CounterFunc("rocks_audit_entries_total",
 		"Mutating control-plane calls recorded in the audit log.",
 		func() float64 { seq, _, _ := c.audit.stats(); return float64(seq) })

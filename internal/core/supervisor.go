@@ -29,7 +29,7 @@ import (
 // retry budget — quarantine: the node is marked offline in PBS and the
 // reports, so the cluster keeps scheduling at reduced capacity instead of
 // wedging on one bad machine. Every action is published to the cluster's
-// lifecycle bus (the bounded ring that /admin/events serves), which chaos
+// lifecycle bus (the bounded ring that /v1/events serves), which chaos
 // tests reconcile against the fault injector's ledger.
 
 // SupervisorConfig tunes the remediation loop.
@@ -493,7 +493,7 @@ func (s *Supervisor) recordLocked(host, mac string, t EventType, attempt int, de
 
 // Events returns the supervisor's action log in order, reconstructed from
 // the lifecycle ring (bounded: entries evicted from the ring are gone; the
-// drop count is on /admin/supervisor).
+// drop count is on /v1/supervisor).
 func (s *Supervisor) Events() []SupervisorEvent {
 	events := s.c.events.Recent(lifecycle.Filter{Source: "supervisor"})
 	out := make([]SupervisorEvent, len(events))

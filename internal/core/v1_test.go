@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,16 +166,6 @@ func TestV1ErrorShapes(t *testing.T) {
 			t.Errorf("%s %s error = %+v, want code %s", tc.method, tc.path, e, tc.code)
 		}
 	}
-	// The legacy aliases get the same strictness: bad input is a 400, not
-	// a silent default.
-	code, _ := adminGet(t, c, "/admin/events", url.Values{"since": {"abc"}})
-	if code != 400 {
-		t.Errorf("legacy events since=abc = %d, want 400", code)
-	}
-	code, _ = adminGet(t, c, "/admin/events", url.Values{"since": {"-1"}})
-	if code != 400 {
-		t.Errorf("legacy events since=-1 = %d, want 400", code)
-	}
 }
 
 // TestV1MutationsAndAudit drives every mutating operation through /v1 and
@@ -312,6 +303,54 @@ func TestV1MutationsAndAudit(t *testing.T) {
 	}
 }
 
+// TestAuditRingEviction: the audit log is bounded. Recording past its
+// capacity evicts the oldest entries, /v1/audit counts them in dropped,
+// and the surviving sequence numbers run contiguously up to the newest.
+func TestAuditRingEviction(t *testing.T) {
+	c := newCluster(t)
+	const overflow = 7
+	total := DefaultAuditRingSize + overflow
+	for i := 1; i <= total; i++ {
+		c.audit.record(AuditEntry{Actor: "ring-test", Op: "shoot", Outcome: "ok",
+			Status: http.StatusOK, Detail: fmt.Sprintf("entry %d", i)})
+	}
+	// One more through the API: it lands after the direct records and
+	// pushes out one more of the oldest.
+	if code, body, _ := v1Call(t, c, http.MethodPost, "/v1/adduser", url.Values{"name": {"carol"}}); code != 200 {
+		t.Fatalf("adduser: %d %s", code, body)
+	}
+	code, body, _ := v1Call(t, c, http.MethodGet, "/v1/audit", nil)
+	if code != 200 {
+		t.Fatalf("/v1/audit = %d: %s", code, body)
+	}
+	var resp struct {
+		Entries []AuditEntry `json:"entries"`
+		Seq     uint64       `json:"seq"`
+		Dropped uint64       `json:"dropped"`
+	}
+	dataOf(t, body, &resp)
+	if resp.Dropped != overflow+1 {
+		t.Errorf("dropped = %d, want %d", resp.Dropped, overflow+1)
+	}
+	if resp.Seq != uint64(total+1) {
+		t.Errorf("seq = %d, want %d", resp.Seq, total+1)
+	}
+	if len(resp.Entries) != DefaultAuditRingSize {
+		t.Fatalf("entries = %d, want the ring's %d", len(resp.Entries), DefaultAuditRingSize)
+	}
+	if first := resp.Entries[0]; first.Seq != overflow+2 || first.Detail != fmt.Sprintf("entry %d", overflow+2) {
+		t.Errorf("oldest kept entry = %+v, want seq %d", first, overflow+2)
+	}
+	for i := 1; i < len(resp.Entries); i++ {
+		if resp.Entries[i].Seq != resp.Entries[i-1].Seq+1 {
+			t.Fatalf("seq gap at %d: %d after %d", i, resp.Entries[i].Seq, resp.Entries[i-1].Seq)
+		}
+	}
+	if last := resp.Entries[len(resp.Entries)-1]; last.Seq != resp.Seq || last.Op != "adduser" {
+		t.Errorf("newest entry = %+v, want the adduser at seq %d", last, resp.Seq)
+	}
+}
+
 func opsOf(entries []AuditEntry) []string {
 	var out []string
 	for _, e := range entries {
@@ -395,7 +434,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	s := scrapeMetrics(t, c)
 	for _, fam := range []string{
-		// clusterdb (/admin/dbstats "db")
+		// clusterdb (/v1/dbstats "db")
 		"rocks_db_plan_cache_hits_total", "rocks_db_plan_cache_misses_total",
 		"rocks_db_plan_cache_entries", "rocks_db_index_selects_total",
 		"rocks_db_scan_selects_total", "rocks_db_index_keys",
@@ -406,13 +445,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rocks_db_wal_replay_errors_total", "rocks_db_wal_stale_skipped_total",
 		"rocks_db_wal_torn_tails_dropped_total",
 		"rocks_db_recovery_records_replayed", "rocks_db_recovery_replay_errors",
-		// kickstart cache (/admin/dbstats "kickstart_cache")
+		// kickstart cache (/v1/dbstats "kickstart_cache")
 		"rocks_kickstart_cache_hits_total", "rocks_kickstart_cache_misses_total",
 		"rocks_kickstart_cache_invalidations_total",
-		// reports (/admin/dbstats "reports")
+		// reports (/v1/dbstats "reports")
 		"rocks_reports_writes_total", "rocks_reports_skips_total",
 		"rocks_reports_scheduled_total",
-		// dist (/admin/diststats)
+		// dist (/v1/diststats)
 		"rocks_dist_listing_requests_total", "rocks_dist_manifest_requests_total",
 		"rocks_dist_hdlist_requests_total", "rocks_dist_package_requests_total",
 		"rocks_dist_not_found_total", "rocks_dist_package_bytes_total",
@@ -420,13 +459,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rocks_dist_mirror_packages_listed", "rocks_dist_mirror_packages_skipped",
 		"rocks_dist_mirror_packages_fetched", "rocks_dist_mirror_bytes_fetched",
 		"rocks_dist_mirror_corrupt_bodies",
-		// lifecycle (/admin/events)
+		// lifecycle (/v1/events)
 		"rocks_lifecycle_events_total", "rocks_lifecycle_ring_evictions_total",
 		"rocks_lifecycle_subscriber_drops_total", "rocks_lifecycle_subscribers",
 		// installer
 		"rocks_installer_fetch_retries_total", "rocks_installer_packages_corrupt_total",
 		"rocks_installer_installs_total",
-		// supervisor (/admin/supervisor)
+		// supervisor (/v1/supervisor)
 		"rocks_supervisor_power_cycles_total", "rocks_supervisor_power_cycle_failures_total",
 		"rocks_supervisor_quarantines_total", "rocks_supervisor_unquarantines_total",
 		"rocks_supervisor_recoveries_total", "rocks_supervisor_running",
@@ -530,28 +569,39 @@ func TestDiscoveryStormMetrics(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasesKeepShape: the /admin endpoints keep their bespoke
-// response shapes (no envelope) for old scripts.
-func TestLegacyAliasesKeepShape(t *testing.T) {
+// TestAdminAliasesRemoved: the control plane has one surface. No /admin
+// path is routed, so no method reaches an operation there — in particular
+// a GET cannot run the sql mutation that /v1 accepts only over POST, and
+// leaves neither a changed row nor an audit record behind.
+func TestAdminAliasesRemoved(t *testing.T) {
 	c := newCluster(t)
-	code, body := adminGet(t, c, "/admin/dbstats", nil)
-	if code != 200 {
-		t.Fatalf("dbstats: %d", code)
+	rowsBefore, err := clusterdb.Nodes(c.DB, "")
+	if err != nil || len(rowsBefore) == 0 {
+		t.Fatalf("nodes before = %v, %v; want the frontend row", rowsBefore, err)
 	}
-	if strings.Contains(body, `"data"`) {
-		t.Errorf("legacy dbstats is enveloped: %.100s", body)
+	_, auditBefore, _ := v1Call(t, c, http.MethodGet, "/v1/audit", nil)
+
+	code, body, _ := v1Call(t, c, http.MethodGet, "/admin/sql",
+		url.Values{"exec": {"1"}, "q": {"DELETE FROM nodes"}})
+	if code != http.StatusNotFound {
+		t.Errorf("GET /admin/sql?exec=1 = %d, want 404: %s", code, body)
 	}
-	var stats struct {
-		DB struct {
-			PlanCacheHits uint64 `json:"plan_cache_hits"`
-		} `json:"db"`
+	rowsAfter, err := clusterdb.Nodes(c.DB, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal([]byte(body), &stats); err != nil {
-		t.Fatalf("legacy dbstats undecodable: %v", err)
+	if !reflect.DeepEqual(rowsAfter, rowsBefore) {
+		t.Errorf("GET /admin/sql changed the nodes table: %v -> %v", rowsBefore, rowsAfter)
 	}
-	// And the same payload is enveloped on /v1.
-	code, v1body, _ := v1Call(t, c, http.MethodGet, "/v1/dbstats", nil)
-	if code != 200 || !strings.Contains(v1body, `"data"`) {
-		t.Errorf("/v1/dbstats = %d %.100s", code, v1body)
+	if _, auditAfter, _ := v1Call(t, c, http.MethodGet, "/v1/audit", nil); auditAfter != auditBefore {
+		t.Errorf("GET /admin/sql changed the audit log:\nbefore %s\nafter  %s", auditBefore, auditAfter)
+	}
+
+	for _, ep := range c.apiEndpoints() {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			if code, body, _ := v1Call(t, c, method, "/admin/"+ep.name, nil); code != http.StatusNotFound {
+				t.Errorf("%s /admin/%s = %d, want 404: %.100s", method, ep.name, code, body)
+			}
+		}
 	}
 }

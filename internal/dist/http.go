@@ -26,7 +26,7 @@ import (
 // digest-bearing view of the same tree (NVRA, size, SHA-256, provenance),
 // which is what makes delta mirroring and end-to-end verification possible.
 
-// ServeStats counts what a distribution server handed out; /admin/diststats
+// ServeStats counts what a distribution server handed out; /v1/diststats
 // exposes them. A re-mirror of an unchanged tree shows ManifestRequests
 // advancing while PackageRequests stands still — the delta pass at work.
 type ServeStats struct {
@@ -109,7 +109,7 @@ func newServer(repo func() *rpm.Repository) *Server {
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // RegisterMetrics exposes the serving counters on the cluster's metrics
-// registry — the /admin/diststats "serve" block, scrapeable. A delta
+// registry — the /v1/diststats "serve" block, scrapeable. A delta
 // re-mirror shows rocks_dist_manifest_requests_total advancing while
 // rocks_dist_package_requests_total stands still.
 func (s *Server) RegisterMetrics(r *metrics.Registry) {

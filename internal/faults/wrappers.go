@@ -73,7 +73,7 @@ func classifyPath(path string) Op {
 	if strings.Contains(path, "/v1/relays") {
 		return OpHTTPRelays
 	}
-	if strings.Contains(path, "/v1/facts") || strings.Contains(path, "/admin/facts") {
+	if strings.Contains(path, "/v1/facts") {
 		return OpHTTPFacts
 	}
 	return OpHTTPPackage

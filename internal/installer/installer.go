@@ -592,7 +592,7 @@ func applyPartitioning(n *node.Node, p *kickstart.Profile, screen io.Writer) err
 // care: the lifecycle timeline, the node's eKV screen, and the shared
 // corruption counter. The event names the source that served the body
 // (peer vs frontend URL), so a relay demotion is auditable in
-// /admin/events rather than an anonymous "some fetch was corrupt".
+// /v1/events rather than an anonymous "some fetch was corrupt".
 func markCorrupt(cfg Config, n *node.Node, screen io.Writer, file string, src Source) {
 	cfg.Stats.corrupt()
 	emit(cfg, n, lifecycle.EventPackageCorrupt,

@@ -34,7 +34,7 @@ type Source struct {
 }
 
 // String renders the source for error messages and lifecycle events — the
-// attribution that makes a demotion auditable in /admin/events.
+// attribution that makes a demotion auditable in /v1/events.
 func (s Source) String() string { return s.Kind + " " + s.URL }
 
 // sourceSet is the installer's working view of its sources: peers in

@@ -14,8 +14,8 @@ import (
 	"strings"
 )
 
-// TimelineResponse is the event-listing payload /v1/events returns (inside
-// the data envelope) and /admin/events returns bare.
+// TimelineResponse is the event-listing payload /v1/events returns inside
+// the data envelope.
 type TimelineResponse struct {
 	Events  []Event `json:"events"`
 	Seq     uint64  `json:"seq"`

@@ -6,7 +6,7 @@
 // rather than any single component's private log. The bus gives that
 // lifecycle one vocabulary (Event), one bounded store (the ring), and two
 // consumption styles: subscription fan-out for reactive components (the
-// supervisor) and per-node timeline queries for humans (/admin/events).
+// supervisor) and per-node timeline queries for humans (/v1/events).
 package lifecycle
 
 import (
@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"rocks/internal/ring"
 )
 
 // Phase groups event types by which management layer owns that part of a
@@ -89,7 +91,7 @@ const (
 	// (relay-down) when the node reinstalls, goes dark, or is quarantined.
 	// An installer that catches a relay serving corrupt or failing
 	// responses emits relay-demoted with the source URL, making the
-	// demotion auditable in /admin/events.
+	// demotion auditable in /v1/events.
 	EventRelayUp      EventType = "relay-up"
 	EventRelayDown    EventType = "relay-down"
 	EventRelayDemoted EventType = "relay-demoted"
@@ -132,7 +134,8 @@ func (e Event) String() string {
 
 // Filter selects events. Zero fields match everything. Node matches either
 // the event's Node or its MAC, so a timeline query follows a machine from
-// pre-name discovery through its bound hostname.
+// pre-name discovery through its bound hostname. Limit applies to a result
+// set, not to one event, so Matches ignores it.
 type Filter struct {
 	Node     string
 	MAC      string
@@ -143,7 +146,8 @@ type Filter struct {
 	Limit    int    // 0 = unlimited; otherwise the most recent N matches
 }
 
-func (f Filter) matches(e Event) bool {
+// Matches reports whether e passes every set field of f.
+func (f Filter) Matches(e Event) bool {
 	if f.Node != "" && e.Node != f.Node && e.MAC != f.Node {
 		return false
 	}
@@ -180,20 +184,25 @@ type subscriber struct {
 // that falls behind loses events (counted per subscription) rather than
 // stalling the producers — the installer must not wait on a slow reader.
 type Bus struct {
-	mu      sync.Mutex
-	ring    []Event
-	start   int // index of oldest event
-	count   int
-	seq     uint64
-	evicted uint64
+	mu   sync.Mutex
+	ring *ring.Ring[Event]
+	seq  uint64
 
 	subs   map[int]*subscriber
 	nextID int
 
-	// bcast is closed and replaced on every publish; WaitFor sleeps on it
-	// instead of holding a subscription, so it can never miss an event
-	// between its ring scan and its wait (it re-scans after every wake).
-	bcast chan struct{}
+	// waiters are WaitFor calls whose ring scan found nothing. Publish
+	// hands each the first matching event under the same lock as the ring
+	// append, so a waiter cannot miss a match however many events evict it
+	// from the ring before the waiter runs again.
+	waiters map[*waiter]struct{}
+}
+
+// waiter is one blocked WaitFor: its filter and a one-slot channel that
+// receives the first matching event.
+type waiter struct {
+	f  Filter
+	ch chan Event
 }
 
 // NewBus creates a bus whose ring holds at most size events
@@ -203,9 +212,9 @@ func NewBus(size int) *Bus {
 		size = DefaultRingSize
 	}
 	return &Bus{
-		ring:  make([]Event, size),
-		subs:  make(map[int]*subscriber),
-		bcast: make(chan struct{}),
+		ring:    ring.New[Event](size),
+		subs:    make(map[int]*subscriber),
+		waiters: make(map[*waiter]struct{}),
 	}
 }
 
@@ -218,13 +227,7 @@ func (b *Bus) Publish(e Event) Event {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	if b.count == len(b.ring) {
-		b.start = (b.start + 1) % len(b.ring)
-		b.evicted++
-	} else {
-		b.count++
-	}
-	b.ring[(b.start+b.count-1)%len(b.ring)] = e
+	b.ring.Push(e)
 	for _, s := range b.subs {
 		select {
 		case s.ch <- e:
@@ -232,8 +235,12 @@ func (b *Bus) Publish(e Event) Event {
 			s.dropped++
 		}
 	}
-	close(b.bcast)
-	b.bcast = make(chan struct{})
+	for w := range b.waiters {
+		if w.f.Matches(e) {
+			w.ch <- e // never blocks: one slot, one send, then deregistered
+			delete(b.waiters, w)
+		}
+	}
 	b.mu.Unlock()
 	return e
 }
@@ -265,18 +272,8 @@ func (b *Bus) Subscribe(buf int) (<-chan Event, func()) {
 // f.Limit set, only the most recent matches are returned.
 func (b *Bus) Recent(f Filter) []Event {
 	b.mu.Lock()
-	out := make([]Event, 0, b.count)
-	for i := 0; i < b.count; i++ {
-		e := b.ring[(b.start+i)%len(b.ring)]
-		if f.matches(e) {
-			out = append(out, e)
-		}
-	}
-	b.mu.Unlock()
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[len(out)-f.Limit:]
-	}
-	return out
+	defer b.mu.Unlock()
+	return b.ring.Select(f.Matches, f.Limit)
 }
 
 // Timeline is a node's per-node lifecycle view: every ring event whose Node
@@ -288,24 +285,33 @@ func (b *Bus) Timeline(node string) []Event {
 // WaitFor blocks until an event matching f exists (checking the ring first,
 // so events published before the call still satisfy it as long as their Seq
 // exceeds f.SinceSeq) or ctx is done. Set f.SinceSeq from Seq() to wait for
-// a strictly future occurrence.
+// a strictly future occurrence. A match published after the call is
+// returned even when the ring has already evicted it.
 func (b *Bus) WaitFor(ctx context.Context, f Filter) (Event, error) {
-	for {
-		b.mu.Lock()
-		for i := 0; i < b.count; i++ {
-			e := b.ring[(b.start+i)%len(b.ring)]
-			if f.matches(e) {
-				b.mu.Unlock()
-				return e, nil
-			}
+	var found Event
+	var ok bool
+	b.mu.Lock()
+	b.ring.Each(func(e Event) bool {
+		if f.Matches(e) {
+			found, ok = e, true
 		}
-		wake := b.bcast
+		return !ok
+	})
+	if ok {
 		b.mu.Unlock()
-		select {
-		case <-wake:
-		case <-ctx.Done():
-			return Event{}, ctx.Err()
-		}
+		return found, nil
+	}
+	w := &waiter{f: f, ch: make(chan Event, 1)}
+	b.waiters[w] = struct{}{}
+	b.mu.Unlock()
+	select {
+	case e := <-w.ch:
+		return e, nil
+	case <-ctx.Done():
+		b.mu.Lock()
+		delete(b.waiters, w)
+		b.mu.Unlock()
+		return Event{}, ctx.Err()
 	}
 }
 
@@ -318,11 +324,11 @@ func (b *Bus) Seq() uint64 {
 }
 
 // Evicted counts events pushed out of the ring by newer ones — the
-// /admin/supervisor "dropped" figure.
+// /v1/supervisor and /v1/events "dropped" figure.
 func (b *Bus) Evicted() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.evicted
+	return b.ring.Evicted()
 }
 
 // SubscriberDrops sums events lost across all current subscribers' buffers.

@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -158,6 +159,47 @@ func TestWaitForBlocksUntilPublish(t *testing.T) {
 	}
 }
 
+// TestWaitForSeesEvictedPublish: a match published after WaitFor started
+// waiting is delivered even when later publishes evict it from the ring
+// before the waiter runs again — the miss behind TestConcurrentPublishSubscribe
+// timing out under load.
+func TestWaitForSeesEvictedPublish(t *testing.T) {
+	b := NewBus(2)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	type result struct {
+		e   Event
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		e, err := b.WaitFor(ctx, Filter{Node: "target"})
+		done <- result{e, err}
+	}()
+	for registered := false; !registered; {
+		runtime.Gosched()
+		b.mu.Lock()
+		registered = len(b.waiters) == 1
+		b.mu.Unlock()
+	}
+	b.Publish(Event{Node: "target", Type: EventUp})
+	for i := 0; i < 5; i++ {
+		b.Publish(Event{Node: "other", Type: EventUp})
+	}
+	if got := b.Recent(Filter{Node: "target"}); len(got) != 0 {
+		t.Fatalf("target still in the ring: %v", got)
+	}
+	r := <-done
+	if r.err != nil || r.e.Node != "target" || r.e.Seq != 1 {
+		t.Fatalf("WaitFor = %+v, %v; want the evicted target at seq 1", r.e, r.err)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.waiters) != 0 {
+		t.Errorf("%d waiters left registered", len(b.waiters))
+	}
+}
+
 func TestWaitForHonorsContext(t *testing.T) {
 	b := NewBus(16)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -171,6 +213,12 @@ func TestWaitForHonorsContext(t *testing.T) {
 	case err := <-errc:
 		if err != context.Canceled {
 			t.Fatalf("WaitFor returned %v, want context.Canceled", err)
+		}
+		b.mu.Lock()
+		left := len(b.waiters)
+		b.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("cancelled WaitFor left %d waiters registered", left)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("WaitFor ignored cancellation")
